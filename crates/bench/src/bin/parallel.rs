@@ -116,7 +116,7 @@ fn main() {
         });
     }
 
-    // Phase 2: full fit (sharded build + parallel β-cluster scan).
+    // Full fit (sharded build + serial β-cluster search + chunked merge).
     let serial_fit = MrCC::new(MrCCConfig::default())
         .fit(ds)
         .expect("serial fit");

@@ -83,8 +83,9 @@ pub enum Command {
         clusters: Option<usize>,
         /// Known noise fraction (HARP).
         noise: f64,
-        /// Worker threads for MrCC's parallel execution mode (1 = serial;
-        /// results are bit-identical for every value).
+        /// Worker threads for MrCC's Counting-tree build and merge scan
+        /// (1 = serial; the β-cluster search is always serial; results are
+        /// bit-identical for every value).
         threads: usize,
         /// Emit a JSON cluster summary instead of prose.
         json: bool,

@@ -80,10 +80,12 @@ pub struct MrCCConfig {
     /// Worker threads for the parallel execution mode: the Counting-tree is
     /// built over contiguous point shards
     /// ([`CountingTree::build_sharded`](mrcc_counting_tree::CountingTree::build_sharded))
-    /// and the per-level convolution scan fans out over cell-range chunks.
-    /// Both phases are engineered to be **bit-for-bit identical** to the
-    /// serial pipeline for every thread count, so this is purely a speed
-    /// knob. Default 1 = the exact historical serial code path.
+    /// and the merge phase's dataset pass fans out over point chunks. The
+    /// β-cluster search is serial at every thread count (it convolves each
+    /// level once). Both threaded phases are engineered to be **bit-for-bit
+    /// identical** to the serial pipeline for every thread count, so this is
+    /// purely a speed knob. Default 1 = the exact historical serial code
+    /// path.
     pub threads: usize,
 }
 

@@ -80,9 +80,9 @@ impl MrCC {
 
     /// Runs the full three-phase method over a unit-normalized dataset.
     ///
-    /// With `config.threads > 1` all three phases run on that many worker
-    /// threads (sharded tree build, parallel convolution scan, chunked
-    /// merge scan); the result is bit-for-bit identical to a serial fit —
+    /// With `config.threads > 1` the sharded tree build and the chunked
+    /// merge scan run on that many worker threads (the β-cluster search
+    /// stays serial); the result is bit-for-bit identical to a serial fit —
     /// the thread count is purely a speed knob (see DESIGN.md, "Parallel
     /// execution").
     ///

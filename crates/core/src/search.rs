@@ -12,17 +12,21 @@
 //! come from an MDL cut over the per-axis relevances and its bounds from the
 //! centre cell refined by its face neighbors. After every find the search
 //! restarts from level 2; it stops after a full sweep finds nothing.
+//!
+//! Cell counts never change during the search, so each level's eligible
+//! cells are convolved and ranked once, when a sweep first reaches the
+//! level, and every later sweep resumes a per-level cursor into that ranking
+//! instead of re-convolving the level; `RankedLevel` says why the cursor
+//! picks exactly the cells a full rescan would. The search is serial.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cmp::Reverse;
 
-use mrcc_common::num::bounded_to_u32;
-use mrcc_common::parallel::{chunk_ranges, effective_workers};
 use mrcc_common::{AxisMask, BoundingBox};
 use mrcc_counting_tree::{Cell, CellId, CountingTree, Direction, Level};
 use mrcc_stats::{binomial_critical_value, mdl_cut};
 
 use crate::beta::{AxisStats, BetaCluster};
-use crate::config::{AxisSelection, MrCCConfig};
+use crate::config::{AxisSelection, MaskKind, MrCCConfig};
 use crate::convolution::convolve;
 
 /// Number of consecutive equal-size regions the parent neighborhood is split
@@ -36,18 +40,22 @@ pub const NULL_REGION_SHARE: f64 = 1.0 / 6.0;
 
 /// Runs the full β-cluster search over a freshly built Counting-tree.
 ///
-/// With `config.threads > 1` the per-level convolution scan runs on scoped
-/// worker threads; the winner selection uses a strict total order, so the
-/// returned β-clusters are bit-identical to a serial run (see
-/// [`best_cell_at_level`]).
+/// Each level `2..=H−1` is convolved and ranked once, when a sweep first
+/// reaches it (see `RankedLevel`); each later sweep takes the first
+/// still-eligible cell of that ranking instead of re-convolving the level.
+/// The returned β-clusters, and the `usedCell` flags left on the tree, are
+/// exactly those of the sweep-and-rescan formulation of Algorithm 2. The
+/// search is serial: `config.threads` does not affect it.
 pub fn find_beta_clusters(tree: &mut CountingTree, config: &MrCCConfig) -> Vec<BetaCluster> {
+    let dims = tree.dims();
+    let mut ranked: Vec<Option<RankedLevel>> = (2..=tree.deepest_level()).map(|_| None).collect();
     let mut betas: Vec<BetaCluster> = Vec::new();
-    let h_max = tree.deepest_level();
     'search: loop {
         // One sweep from the coarsest convolvable level down.
-        for h in 2..=h_max {
-            let Some(winner) = best_cell_at_level(tree.level(h), tree.dims(), &betas, config)
-            else {
+        for (h, slot) in (2..).zip(&mut ranked) {
+            let ranking = slot
+                .get_or_insert_with(|| RankedLevel::new(tree.level(h), dims, &betas, config.mask));
+            let Some(winner) = ranking.take_eligible(tree.level(h), dims, &betas) else {
                 continue;
             };
             tree.level_mut(h).set_used(winner, true);
@@ -61,107 +69,109 @@ pub fn find_beta_clusters(tree: &mut CountingTree, config: &MrCCConfig) -> Vec<B
     betas
 }
 
-/// Cells per work unit of the parallel convolution scan: small enough to
-/// load-balance skewed levels across workers, large enough that the queue's
-/// atomic traffic is noise next to the convolution itself.
-const SCAN_CHUNK: usize = 1024;
-
-/// Keeps the better of two scan candidates under the **strict total order**
-/// "higher convolved value wins, ties go to the lower cell id". Because the
-/// order is total, reducing any set of candidates with it is associative and
-/// commutative — the parallel scan's reduction is deterministic no matter
-/// which worker finished which chunk first — and it reproduces the serial
-/// scan exactly (ascending iteration with "first maximum wins" *is*
-/// lowest-id-on-ties).
-fn better(a: (CellId, i64), b: (CellId, i64)) -> (CellId, i64) {
-    if b.1 > a.1 || (b.1 == a.1 && b.0 < a.0) {
-        b
-    } else {
-        a
-    }
-}
-
-/// Serial scan of one contiguous arena-id range, returning the local winner.
-fn scan_range(
-    level: &Level,
-    range: std::ops::Range<usize>,
-    dims: usize,
-    betas: &[BetaCluster],
-    config: &MrCCConfig,
-) -> Option<(CellId, i64)> {
-    let side = level.side();
-    let mut best: Option<(CellId, i64)> = None;
-    for i in range {
-        let id = bounded_to_u32(i);
-        let cell = level.cell(id);
-        if cell.used() || shares_space_with_any(cell, side, dims, betas) {
-            continue;
-        }
-        let candidate = (id, convolve(level, id, dims, config.mask));
-        best = Some(match best {
-            Some(current) => better(current, candidate),
-            None => candidate,
-        });
-    }
-    best
-}
-
-/// The convolution winner at one level: the unused, non-overlapping cell with
-/// the largest convolved value, or `None` when no candidate remains.
+/// One level's eligible cells ranked by convolved value, plus the search's
+/// cursor into that ranking.
 ///
-/// With `config.threads > 1` the scan fans out over a work queue of
-/// contiguous cell-id chunks on scoped threads; the chunk results are
-/// reduced with [`better`], whose strict total order makes the outcome
-/// bit-identical to the serial scan regardless of scheduling.
-fn best_cell_at_level(
+/// Ranking once is exact because nothing the ranking depends on changes
+/// during the search: cell counts are fixed once the tree is built, and a
+/// cell only ever goes from eligible to ineligible (its `usedCell` flag is
+/// set, or a new β-box comes to share space with it). So a cell that is
+/// ineligible when the level is ranked can be left out, a cell the cursor
+/// has passed never needs revisiting, and the first eligible cell at or
+/// after the cursor is exactly the winner of a full rescan: the maximum
+/// under (convolved value descending, `CellId` ascending), which is the
+/// serial scan's "first maximum wins" over ascending ids.
+struct RankedLevel {
+    /// The level's cells that were eligible when it was ranked, in rank
+    /// order.
+    order: Vec<CellId>,
+    /// Position of the first cell not yet passed.
+    cursor: usize,
+}
+
+impl RankedLevel {
+    /// Convolves every eligible cell of `level` once and ranks them.
+    fn new(level: &Level, dims: usize, betas: &[BetaCluster], mask: MaskKind) -> Self {
+        let side = level.side();
+        let mut keyed: Vec<(Reverse<i64>, CellId)> = level
+            .iter()
+            .filter(|(_, cell)| !cell.used() && !shares_space_with_any(cell, side, dims, betas))
+            .map(|(id, _)| (Reverse(convolve(level, id, dims, mask)), id))
+            .collect();
+        keyed.sort_unstable();
+        let order = keyed.iter().map(|&(_, id)| id).collect();
+        RankedLevel { order, cursor: 0 }
+    }
+
+    /// Moves the cursor past cells that share space with a β-box and returns
+    /// the first eligible cell (the cursor moves past it too: the caller
+    /// marks it used), or `None` when the level is spent. No cell ahead of
+    /// the cursor is used: used cells were left out of the ranking, and the
+    /// search marks only cells the cursor has passed.
+    fn take_eligible(
+        &mut self,
+        level: &Level,
+        dims: usize,
+        betas: &[BetaCluster],
+    ) -> Option<CellId> {
+        let side = level.side();
+        while let Some(&id) = self.order.get(self.cursor) {
+            self.cursor += 1;
+            let cell = level.cell(id);
+            if !shares_space_with_any(cell, side, dims, betas) {
+                return Some(id);
+            }
+        }
+        None
+    }
+}
+
+/// The sweep-and-rescan search this module used before ranking: every sweep
+/// convolves every eligible cell of every level again and keeps the first
+/// maximum in ascending id order. Kept as the equivalence oracle for
+/// [`find_beta_clusters`]; compiled only for tests and under the
+/// `search-oracle` feature.
+#[cfg(any(test, feature = "search-oracle"))]
+pub fn find_beta_clusters_oracle(tree: &mut CountingTree, config: &MrCCConfig) -> Vec<BetaCluster> {
+    let mut betas: Vec<BetaCluster> = Vec::new();
+    let h_max = tree.deepest_level();
+    'search: loop {
+        for h in 2..=h_max {
+            let Some(winner) = scan_level_oracle(tree.level(h), tree.dims(), &betas, config) else {
+                continue;
+            };
+            tree.level_mut(h).set_used(winner, true);
+            if let Some(beta) = confirm_beta_cluster(tree, h, winner, config) {
+                betas.push(beta);
+                continue 'search;
+            }
+        }
+        break;
+    }
+    betas
+}
+
+/// The oracle's full scan of one level: the unused, non-overlapping cell
+/// with the largest convolved value, the lowest id on ties.
+#[cfg(any(test, feature = "search-oracle"))]
+fn scan_level_oracle(
     level: &Level,
     dims: usize,
     betas: &[BetaCluster],
     config: &MrCCConfig,
 ) -> Option<CellId> {
-    let n = level.n_cells();
-    let workers = effective_workers(config.threads, n.div_ceil(SCAN_CHUNK));
-    if workers <= 1 {
-        return scan_range(level, 0..n, dims, betas, config).map(|(id, _)| id);
+    let side = level.side();
+    let mut best: Option<(CellId, i64)> = None;
+    for (id, cell) in level.iter() {
+        if cell.used() || shares_space_with_any(cell, side, dims, betas) {
+            continue;
+        }
+        let value = convolve(level, id, dims, config.mask);
+        if best.is_none_or(|(_, v)| value > v) {
+            best = Some((id, value));
+        }
     }
-    let chunks = chunk_ranges(n, SCAN_CHUNK);
-    let next = AtomicUsize::new(0);
-    let locals: Vec<Option<(CellId, i64)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut best: Option<(CellId, i64)> = None;
-                    loop {
-                        let claimed = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(range) = chunks.get(claimed) else {
-                            break;
-                        };
-                        if let Some(candidate) =
-                            scan_range(level, range.clone(), dims, betas, config)
-                        {
-                            best = Some(match best {
-                                Some(current) => better(current, candidate),
-                                None => candidate,
-                            });
-                        }
-                    }
-                    best
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(local) => local,
-                Err(panic) => std::panic::resume_unwind(panic),
-            })
-            .collect()
-    });
-    locals
-        .into_iter()
-        .flatten()
-        .reduce(better)
-        .map(|(id, _)| id)
+    best.map(|(id, _)| id)
 }
 
 /// The cell-vs-β-cluster share-space predicate (strict interior overlap; a
@@ -404,14 +414,89 @@ mod tests {
         }
     }
 
+    /// Every field of every β-cluster, floats as bit patterns.
+    fn fingerprint(betas: &[BetaCluster]) -> Vec<String> {
+        betas
+            .iter()
+            .map(|b| {
+                let bounds: Vec<(u64, u64)> = (0..b.bounds.dims())
+                    .map(|j| (b.bounds.lower(j).to_bits(), b.bounds.upper(j).to_bits()))
+                    .collect();
+                let stats: Vec<(u64, u64, u64, u64)> = b
+                    .axis_stats
+                    .iter()
+                    .map(|s| (s.neighborhood, s.center, s.critical, s.relevance.to_bits()))
+                    .collect();
+                format!(
+                    "{} {:?} {:?} {:?} {} {:?}",
+                    b.level,
+                    b.center_coords,
+                    b.axes.iter().collect::<Vec<_>>(),
+                    bounds,
+                    b.relevance_threshold.to_bits(),
+                    stats
+                )
+            })
+            .collect()
+    }
+
     #[test]
-    fn chunk_reduction_total_order() {
-        // better() prefers the higher value, breaking ties toward the lower
-        // id, from either argument position.
-        assert_eq!(better((3, 10), (7, 9)), (3, 10));
-        assert_eq!(better((7, 9), (3, 10)), (3, 10));
-        assert_eq!(better((5, 10), (2, 10)), (2, 10));
-        assert_eq!(better((2, 10), (5, 10)), (2, 10));
+    fn rank_order_is_value_desc_then_id_asc() {
+        // A 4×4 grid with one point per cell: every interior cell has the
+        // same convolved value, and so do all edge cells and all corners,
+        // so each value class is one large tie.
+        let mut rows = Vec::new();
+        for i in 0..4 {
+            for j in 0..4 {
+                rows.push([(f64::from(i) + 0.5) / 4.0, (f64::from(j) + 0.5) / 4.0]);
+            }
+        }
+        let ds = Dataset::from_rows(&rows).unwrap();
+        let tree = CountingTree::build(&ds, 4).unwrap();
+        let level = tree.level(2);
+        let ranked = RankedLevel::new(level, 2, &[], MaskKind::FaceOnly);
+        let keyed: Vec<(i64, CellId)> = ranked
+            .order
+            .iter()
+            .map(|&id| (convolve(level, id, 2, MaskKind::FaceOnly), id))
+            .collect();
+        assert_eq!(keyed.len(), level.n_cells());
+        let distinct: std::collections::BTreeSet<i64> = keyed.iter().map(|k| k.0).collect();
+        assert!(distinct.len() < keyed.len(), "fixture must contain ties");
+        for pair in keyed.windows(2) {
+            let ((va, ia), (vb, ib)) = (pair[0], pair[1]);
+            assert!(va > vb || (va == vb && ia < ib), "{pair:?} out of order");
+        }
+    }
+
+    #[test]
+    fn rerun_after_reset_used_reproduces_the_search() {
+        let ds = blob_and_noise();
+        let mut tree = CountingTree::build(&ds, 4).unwrap();
+        let config = MrCCConfig::default();
+        let first = find_beta_clusters(&mut tree, &config);
+        tree.reset_used();
+        let second = find_beta_clusters(&mut tree, &config);
+        assert!(!first.is_empty());
+        assert_eq!(fingerprint(&first), fingerprint(&second));
+    }
+
+    #[test]
+    fn pre_used_cell_is_never_chosen() {
+        let ds = blob_and_noise();
+        let config = MrCCConfig::default();
+        let mut tree = CountingTree::build(&ds, 4).unwrap();
+        let first = find_beta_clusters(&mut tree, &config);
+        let target = &first[0];
+        // Mark the first β-cluster's centre cell used before a fresh search.
+        let mut tree = CountingTree::build(&ds, 4).unwrap();
+        let level = tree.level(target.level);
+        let id = level.find(&target.center_coords).unwrap();
+        tree.level_mut(target.level).set_used(id, true);
+        let betas = find_beta_clusters(&mut tree, &config);
+        assert!(betas
+            .iter()
+            .all(|b| (b.level, &b.center_coords) != (target.level, &target.center_coords)));
     }
 
     #[test]

@@ -25,7 +25,8 @@ pub struct SourceFile {
     pub code: Vec<String>,
     /// Comment text only (everything else blanked), one entry per line.
     pub comments: Vec<String>,
-    /// `true` for lines inside a `#[cfg(test)]`-gated item.
+    /// `true` for lines inside a `#[cfg(test)]`-gated item or a test oracle
+    /// (see [`test_gate`]).
     pub in_test: Vec<bool>,
 }
 
@@ -47,7 +48,7 @@ impl SourceFile {
         let lines: Vec<String> = text.lines().map(str::to_string).collect();
         let code: Vec<String> = code_text.lines().map(str::to_string).collect();
         let comments: Vec<String> = comment_text.lines().map(str::to_string).collect();
-        let in_test = test_regions(&code);
+        let in_test = test_regions(&code, &lines);
         SourceFile {
             path: path.to_string(),
             lines,
@@ -250,13 +251,29 @@ fn mask(text: &str) -> (String, String) {
     (code, comments)
 }
 
-/// Marks every line covered by a `#[cfg(test)]`-gated item (attribute line
-/// through the matching closing brace).
-fn test_regions(code: &[String]) -> Vec<bool> {
+/// Whether a line opens a test-only item: `#[cfg(test)]`, or a test oracle
+/// gated as `#[cfg(any(test, feature = "<name>-oracle"))]`. An `-oracle`
+/// feature only exposes a superseded reference implementation to
+/// integration tests and benches; it is never part of the library's release
+/// surface. `code` is the masked line (literal contents blanked), `text`
+/// the original one, which still holds the feature name.
+fn test_gate(code: &str, text: &str) -> bool {
+    if code.contains("#[cfg(test)]") {
+        return true;
+    }
+    let Some(start) = text.find("#[cfg(any(test, feature = \"") else {
+        return false;
+    };
+    code.contains("#[cfg(any(test, feature = ") && text[start..].contains("-oracle\"))]")
+}
+
+/// Marks every line covered by a test-only item (attribute line through the
+/// matching closing brace; see [`test_gate`]).
+fn test_regions(code: &[String], text: &[String]) -> Vec<bool> {
     let mut in_test = vec![false; code.len()];
     let mut line = 0usize;
     while line < code.len() {
-        if code[line].contains("#[cfg(test)]") {
+        if test_gate(&code[line], text.get(line).map_or("", String::as_str)) {
             // Find the opening brace of the gated item, then match braces.
             let mut depth = 0i32;
             let mut opened = false;
@@ -332,6 +349,18 @@ mod tests {
         let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\nfn lib2() {}\n";
         let f = SourceFile::parse("t.rs", src);
         assert_eq!(f.in_test, vec![false, true, true, true, true, false]);
+    }
+
+    #[test]
+    fn oracle_feature_gates_are_test_regions() {
+        let src = "#[cfg(any(test, feature = \"merge-oracle\"))]\npub fn o() {\n}\n\
+                   #[cfg(any(test, feature = \"strict-invariants\"))]\npub fn s() {\n}\n\
+                   // #[cfg(any(test, feature = \"x-oracle\"))]\nfn c() {\n}\n";
+        let f = SourceFile::parse("t.rs", src);
+        assert_eq!(
+            f.in_test,
+            vec![true, true, true, false, false, false, false, false, false]
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Serial ↔ parallel equivalence layer.
 //!
-//! The parallel pipeline (sharded Counting-tree build + chunked β-cluster
-//! scan) promises **bit-identical** output to a serial fit for every thread
+//! The parallel pipeline (sharded Counting-tree build + chunked merge scan)
+//! promises **bit-identical** output to a serial fit for every thread
 //! count — not "statistically the same", the exact same `MrCCResult`. These
 //! tests pin that contract on random workloads (proptest), on degenerate
 //! shard geometries (fewer points than workers, single points, all-noise
@@ -168,8 +168,8 @@ fn single_point_dataset() {
 
 #[test]
 fn all_noise_dataset() {
-    // Structure-free data: the β-cluster search finds nothing; the parallel
-    // scan must agree on that nothing, too.
+    // Structure-free data: the β-cluster search finds nothing; every thread
+    // count must agree on that nothing, too.
     let spec = SyntheticSpec::new("pe-noise", 6, 4_000, 0, 0.5, 9);
     let synth = generate(&spec);
     check_all_thread_counts(&synth.dataset, "all noise");
