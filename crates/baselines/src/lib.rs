@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(test, allow(clippy::float_cmp))]
 
 //! Clean-room Rust implementations of the subspace / projected clustering
 //! methods MrCC is evaluated against (paper Section IV), plus the plain

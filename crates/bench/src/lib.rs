@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(test, allow(clippy::float_cmp))]
 
 //! Benchmark harness for the MrCC reproduction.
 //!

@@ -89,7 +89,8 @@ impl BoxIndex {
         let mut everywhere: Vec<u32> = Vec::new();
         for (k, b) in boxes.iter().enumerate() {
             assert_eq!(b.dims(), dims, "box {k}: dimensionality mismatch");
-            let id = u32::try_from(k).expect("box count fits in u32 by construction invariant");
+            let id = crate::num::bounded_to_u32(k);
+            #[expect(clippy::expect_used, reason = "box extents are finite")]
             let best = (0..dims).min_by(|&i, &j| {
                 b.extent(i)
                     .partial_cmp(&b.extent(j))
@@ -97,6 +98,7 @@ impl BoxIndex {
             });
             match best {
                 Some(j) if b.extent(j) < 1.0 => {
+                    #[expect(clippy::expect_used, reason = "j < dims = grids.len()")]
                     let grid = grids
                         .get_mut(j)
                         .expect("axis index < dims by loop invariant")
@@ -134,6 +136,7 @@ impl BoxIndex {
     pub fn containing(&self, point: &[f64], out: &mut Vec<u32>) {
         out.clear();
         for grid in &self.grids {
+            #[expect(clippy::expect_used, reason = "documented `# Panics` contract")]
             let v = *point
                 .get(grid.axis)
                 .expect("point dims match box dims by contains() invariant");

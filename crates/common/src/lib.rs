@@ -1,5 +1,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::float_cmp))]
 
 //! Common dataset substrate for the MrCC reproduction.
 //!
@@ -19,8 +21,9 @@
 //!   MrCC and every baseline: disjoint point sets plus per-cluster relevant
 //!   axes, with everything unassigned being noise.
 //! * CSV import/export so examples can round-trip data.
-//! * [`parallel`] — deterministic work-partitioning helpers shared by every
-//!   multi-threaded phase (sharded tree build, chunked merge scan).
+//! * [`parallel`] — the ordered parallel map and work-partitioning helpers
+//!   every multi-threaded phase (sharded tree build, chunked merge scan)
+//!   runs on.
 
 pub mod bbox;
 pub mod boxindex;

@@ -75,6 +75,7 @@ pub fn u32_to_usize(n: u32) -> usize {
 /// a recoverable condition.
 #[inline]
 #[must_use]
+#[expect(clippy::expect_used, reason = "documented `# Panics` contract")]
 pub fn bounded_to_u32(n: usize) -> u32 {
     u32::try_from(n).expect("value bounded below 2^32 by caller invariant")
 }
@@ -86,6 +87,7 @@ pub fn bounded_to_u32(n: usize) -> u32 {
 /// bounded far below that.
 #[inline]
 #[must_use]
+#[expect(clippy::expect_used, reason = "documented `# Panics` contract")]
 pub fn powi_exp(h: usize) -> i32 {
     i32::try_from(h).expect("exponent bounded by MAX_RESOLUTIONS invariant")
 }

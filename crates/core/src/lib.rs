@@ -1,5 +1,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::float_cmp))]
 
 //! **MrCC — Multi-resolution Correlation Clustering** (Cordeiro, Traina,
 //! Faloutsos, Traina Jr., ICDE 2010).

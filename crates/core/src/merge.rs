@@ -24,10 +24,10 @@
 //! pass with zero further dataset scans, and the per-β counts plus per-point
 //! containment are handed to the caller as a [`MergeCache`] so downstream
 //! consumers (soft memberships) never re-scan either. With `threads > 1`
-//! the pass fans out over contiguous point chunks claimed from an atomic
-//! work queue and the per-chunk partials are reduced in ascending chunk
-//! order — all accumulators are either additive integers or per-point
-//! records, so the result is bit-identical to the serial pass.
+//! the pass maps contiguous point chunks through
+//! [`mrcc_common::parallel::ordered_map`] and folds the per-chunk partials
+//! in ascending chunk order — all accumulators are either additive integers
+//! or per-point records, so the result is bit-identical to the serial pass.
 //!
 //! The superseded multi-scan implementation is retained behind
 //! `#[cfg(any(test, feature = "merge-oracle"))]` as
@@ -36,9 +36,9 @@
 
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-use mrcc_common::parallel::{chunk_ranges, effective_workers};
+use mrcc_common::num::bounded_to_u32;
+use mrcc_common::parallel::{chunk_ranges, ordered_map};
 use mrcc_common::{AxisMask, BoundingBox, BoxIndex, Dataset, SubspaceCluster, SubspaceClustering};
 
 use crate::beta::BetaCluster;
@@ -47,8 +47,8 @@ use crate::beta::BetaCluster;
 /// for two β-clusters to merge (see `build_correlation_clusters`).
 const JUNCTION_DENSITY: f64 = 0.20;
 
-/// Points per work unit of the parallel merge scan: large enough that the
-/// queue's atomic traffic is noise next to the stabbing queries, small
+/// Points per work unit of the parallel merge scan: large enough that
+/// claiming a chunk is noise next to the stabbing queries, small
 /// enough to load-balance datasets whose dense regions cluster in index
 /// order.
 const MERGE_CHUNK: usize = 4096;
@@ -162,7 +162,6 @@ struct ScanResult {
 /// per-point record (containment), so folding chunks in ascending chunk
 /// order reproduces the serial pass bit for bit.
 struct ChunkScan {
-    chunk: usize,
     box_counts: Vec<usize>,
     /// Containment list lengths for each point of the chunk, in order.
     list_lens: Vec<u32>,
@@ -182,19 +181,12 @@ fn record_point(buf: &[u32], acc: &mut ChunkScan) {
         }
     }
     acc.ids.extend_from_slice(buf);
-    acc.list_lens
-        .push(u32::try_from(buf.len()).expect("β count fits in u32 by construction invariant"));
+    acc.list_lens.push(bounded_to_u32(buf.len()));
 }
 
 /// Scans one contiguous point range against the index.
-fn scan_chunk(
-    dataset: &Dataset,
-    index: &BoxIndex,
-    chunk: usize,
-    range: std::ops::Range<usize>,
-) -> ChunkScan {
+fn scan_chunk(dataset: &Dataset, index: &BoxIndex, range: std::ops::Range<usize>) -> ChunkScan {
     let mut acc = ChunkScan {
-        chunk,
         box_counts: vec![0; index.n_boxes()],
         list_lens: Vec::with_capacity(range.len()),
         ids: Vec::new(),
@@ -209,51 +201,17 @@ fn scan_chunk(
 }
 
 /// The single dataset pass: builds the β-box index, then walks every point
-/// exactly once (chunk-parallel when `threads > 1`, reduced in ascending
-/// chunk order so the output is bit-identical to the serial walk).
+/// exactly once — chunk-parallel when `threads > 1` via [`ordered_map`],
+/// whose results come back in ascending chunk order, so the fold below
+/// yields output bit-identical to the serial walk.
 fn scan_dataset(dataset: &Dataset, betas: &[BetaCluster], threads: usize) -> ScanResult {
     note_dataset_scan();
     let boxes: Vec<BoundingBox> = betas.iter().map(|b| b.bounds.clone()).collect();
     let index = BoxIndex::new(&boxes);
     let n = dataset.len();
-    let chunks = chunk_ranges(n, MERGE_CHUNK);
-    let workers = effective_workers(threads, chunks.len());
-
-    let mut partials: Vec<ChunkScan> = if workers <= 1 {
-        chunks
-            .iter()
-            .enumerate()
-            .map(|(c, r)| scan_chunk(dataset, &index, c, r.clone()))
-            .collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let mut collected: Vec<ChunkScan> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local: Vec<ChunkScan> = Vec::new();
-                        loop {
-                            let claimed = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(range) = chunks.get(claimed) else {
-                                break;
-                            };
-                            local.push(scan_chunk(dataset, &index, claimed, range.clone()));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| match h.join() {
-                    Ok(local) => local,
-                    Err(panic) => std::panic::resume_unwind(panic),
-                })
-                .collect()
-        });
-        collected.sort_by_key(|p| p.chunk);
-        collected
-    };
+    let partials = ordered_map(&chunk_ranges(n, MERGE_CHUNK), threads, |range| {
+        scan_chunk(dataset, &index, range)
+    });
 
     // Fold partials in ascending chunk order: counts are additive, the CSR
     // segments concatenate in point order.
@@ -263,8 +221,9 @@ fn scan_dataset(dataset: &Dataset, betas: &[BetaCluster], threads: usize) -> Sca
         ids: Vec::new(),
     };
     cache.offsets.push(0);
+    let mut end = 0usize;
     let mut pair_counts: HashMap<(u32, u32), usize> = HashMap::new();
-    for partial in &mut partials {
+    for mut partial in partials {
         for (total, part) in cache.box_counts.iter_mut().zip(&partial.box_counts) {
             *total += part;
         }
@@ -272,10 +231,6 @@ fn scan_dataset(dataset: &Dataset, betas: &[BetaCluster], threads: usize) -> Sca
             *pair_counts.entry(pair).or_insert(0) += count;
         }
         cache.ids.append(&mut partial.ids);
-        let mut end = *cache
-            .offsets
-            .last()
-            .expect("offsets starts non-empty by construction invariant");
         for &len in &partial.list_lens {
             end += len as usize;
             cache.offsets.push(end);
@@ -387,8 +342,8 @@ fn describe_groups(
 /// clusters (ordered by smallest member β index), the resulting partition,
 /// and the [`MergeCache`] of reusable scan artifacts.
 ///
-/// `threads` parallelizes the dataset pass (chunked work queue); the output
-/// is bit-identical for every thread count.
+/// `threads` parallelizes the dataset pass (chunks mapped by
+/// [`ordered_map`]); the output is bit-identical for every thread count.
 pub fn build_correlation_clusters(
     dataset: &Dataset,
     betas: &[BetaCluster],
@@ -420,10 +375,7 @@ pub fn build_correlation_clusters(
             if !beta_i.shares_space(beta_j) {
                 continue;
             }
-            let key = (
-                u32::try_from(i).expect("β count fits in u32 by construction invariant"),
-                u32::try_from(j).expect("β count fits in u32 by construction invariant"),
-            );
+            let key = (bounded_to_u32(i), bounded_to_u32(j));
             let junction = pair_counts.get(&key).copied().unwrap_or(0);
             let needed =
                 (cache.box_count(i).min(cache.box_count(j)) as f64 * JUNCTION_DENSITY).ceil();

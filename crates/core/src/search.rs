@@ -194,6 +194,7 @@ fn neighborhood_stats(tree: &CountingTree, h: usize, winner: CellId, alpha: f64)
     let cell = level.cell(winner);
     let parent_level = tree.level(h - 1);
     let parent_coords = cell.parent_coords();
+    #[expect(clippy::expect_used, reason = "parents of non-empty cells exist")]
     let parent_id = parent_level
         .find(&parent_coords)
         .expect("tree structure invariant: the parent of a non-empty cell is non-empty");
@@ -251,6 +252,7 @@ fn confirm_beta_cluster(
     let cut = match config.axis_selection {
         AxisSelection::Mdl => {
             let mut ordered: Vec<f64> = stats.iter().map(|s| s.relevance).collect();
+            #[expect(clippy::expect_used, reason = "relevance ratios are finite")]
             ordered.sort_by(|a, b| {
                 a.partial_cmp(b)
                     .expect("relevance ratios are finite by construction invariant")

@@ -127,6 +127,7 @@ impl MrCCResult {
             hits.sort_by_key(|&(k, _)| k);
             let mut candidates: Vec<(usize, f64)> = Vec::new();
             for &(k, d) in &hits {
+                #[expect(clippy::expect_used, reason = "box densities are finite")]
                 match candidates.last_mut() {
                     Some((last, best)) if *last == k => {
                         // Same tie behaviour as `Iterator::max_by`: a later
@@ -158,6 +159,7 @@ impl MrCCResult {
             for (_, w) in &mut weights {
                 *w /= total;
             }
+            #[expect(clippy::expect_used, reason = "softmax weights are finite")]
             weights.sort_by(|a, b| {
                 b.1.partial_cmp(&a.1)
                     .expect("softmax weights are finite and nonnegative invariant")

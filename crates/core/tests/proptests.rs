@@ -1,5 +1,8 @@
 //! Property-based invariants of the full MrCC pipeline.
 
+// Exact float assertions are deliberate here, as in unit tests.
+#![allow(clippy::float_cmp)]
+
 use mrcc::{MrCC, MrCCConfig};
 use mrcc_common::{Dataset, NOISE};
 use mrcc_datagen::{generate, SyntheticSpec};

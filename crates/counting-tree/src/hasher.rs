@@ -33,6 +33,7 @@ impl Hasher for FxHasher {
         // byte path only serves odd callers (e.g. Hash derives with padding).
         let mut chunks = bytes.chunks_exact(8);
         for c in &mut chunks {
+            #[expect(clippy::expect_used, reason = "chunks_exact(8) yields 8-byte chunks")]
             let word = c
                 .try_into()
                 .expect("chunks_exact(8) length invariant: every chunk is 8 bytes");

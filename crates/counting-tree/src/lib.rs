@@ -1,5 +1,8 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(not(test), warn(clippy::as_conversions))]
+#![cfg_attr(test, allow(clippy::float_cmp))]
 
 //! The **Counting-tree** (MrCC, Section III-A).
 //!

@@ -14,7 +14,9 @@
 //! observe — holds because of three facts:
 //!
 //! 1. shards are **contiguous, index-ordered** point ranges
-//!    ([`mrcc_common::parallel::shard_ranges`]);
+//!    ([`mrcc_common::parallel::shard_ranges`]), built into partial trees
+//!    by [`mrcc_common::parallel::ordered_map`], which returns them in
+//!    shard order;
 //! 2. each partial level stores its cells in first-touch order of its own
 //!    shard, and [`Level::absorb`] walks the donor's arena **in order**,
 //!    appending cells not yet present;
@@ -27,7 +29,7 @@
 //! the payloads match bit-for-bit too. The `parallel_equivalence`
 //! integration tests and the unit tests below assert both properties.
 
-use mrcc_common::parallel::{effective_workers, shard_ranges};
+use mrcc_common::parallel::{ordered_map, shard_ranges};
 use mrcc_common::{Dataset, Error, Result};
 
 use crate::level::Level;
@@ -81,16 +83,16 @@ impl CountingTree {
         Ok(())
     }
 
-    /// Builds the tree over contiguous point shards on `n_threads` scoped
-    /// worker threads, then merges the partial trees in shard order.
+    /// Builds one partial tree per contiguous point shard on `n_threads`
+    /// workers ([`mrcc_common::parallel::ordered_map`]), then merges the
+    /// partial trees in shard order.
     ///
     /// The result is **bit-for-bit identical** to [`CountingTree::build`] on
     /// the same dataset — same cells, same counts, same half-space vectors,
     /// same arena order (see the module docs for why) — so callers may
     /// switch thread counts freely without perturbing any downstream result.
-    /// `n_threads <= 1` runs the serial build directly. Shards shorter than
-    /// the thread count leave the surplus workers with empty shards, which
-    /// merge as no-ops.
+    /// `n_threads <= 1` runs the serial build directly. A dataset with fewer
+    /// points than threads gets one single-point shard per point.
     ///
     /// # Errors
     /// Exactly the errors of [`CountingTree::build`]: invalid `resolutions`,
@@ -110,30 +112,13 @@ impl CountingTree {
         if ds.is_empty() {
             return Err(Error::EmptyDataset);
         }
-        let workers = effective_workers(n_threads, ds.len());
-        let ranges = shard_ranges(ds.len(), workers);
-
-        let mut partials: Vec<Result<CountingTree>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .cloned()
-                .map(|range| {
-                    scope.spawn(move || -> Result<CountingTree> {
-                        let mut partial = CountingTree::empty(ds.dims(), resolutions)?;
-                        for i in range {
-                            partial.insert(ds.point(i))?;
-                        }
-                        Ok(partial)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(result) => result,
-                    Err(panic) => std::panic::resume_unwind(panic),
-                })
-                .collect()
+        let ranges = shard_ranges(ds.len(), n_threads.min(ds.len()));
+        let partials = ordered_map(&ranges, n_threads, |range| -> Result<CountingTree> {
+            let mut partial = CountingTree::empty(ds.dims(), resolutions)?;
+            for i in range {
+                partial.insert(ds.point(i))?;
+            }
+            Ok(partial)
         });
 
         // Reduce in shard order. The first error in shard order is the error
@@ -141,7 +126,7 @@ impl CountingTree {
         // index order, so the lowest failing shard fails on the globally
         // first offending point.
         let mut merged = probe;
-        for partial in partials.drain(..) {
+        for partial in partials {
             merged.merge_from(&partial?)?;
         }
         Ok(merged)

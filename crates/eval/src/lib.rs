@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![cfg_attr(test, allow(clippy::float_cmp))]
 
 //! Evaluation harness for the MrCC reproduction (paper Section IV-A).
 //!

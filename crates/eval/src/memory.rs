@@ -143,8 +143,19 @@ mod tests {
     // would skew every other test's numbers); install-dependent behaviour is
     // exercised in the bench crate where the allocator is the global one.
 
+    /// The counters are process-wide and the test harness runs tests on
+    /// parallel threads, so tests that move them take this lock.
+    static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        COUNTERS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn counters_move_with_manual_events() {
+        let _serial = serial();
         let before_live = TrackingAllocator::live();
         on_alloc(1024);
         assert_eq!(TrackingAllocator::live(), before_live + 1024);
@@ -155,6 +166,7 @@ mod tests {
 
     #[test]
     fn reset_peak_snaps_to_live() {
+        let _serial = serial();
         on_alloc(4096);
         on_dealloc(4096);
         TrackingAllocator::reset_peak();
@@ -163,6 +175,7 @@ mod tests {
 
     #[test]
     fn measure_peak_reports_closure_growth() {
+        let _serial = serial();
         // Simulate a run that allocates 10 KiB net-zero.
         let (_out, report) = measure_peak(|| {
             on_alloc(10 * 1024);

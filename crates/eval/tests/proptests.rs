@@ -1,5 +1,8 @@
 //! Property-based invariants of the Quality metrics.
 
+// Exact float assertions are deliberate here, as in unit tests.
+#![allow(clippy::float_cmp)]
+
 use mrcc_common::{AxisMask, SubspaceCluster, SubspaceClustering};
 use mrcc_eval::{quality, subspace_quality};
 use proptest::prelude::*;

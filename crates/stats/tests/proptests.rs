@@ -1,5 +1,8 @@
 //! Property-based invariants of the statistics substrate.
 
+// Exact float assertions are deliberate here, as in unit tests.
+#![allow(clippy::float_cmp)]
+
 use mrcc_stats::beta::inc_beta;
 use mrcc_stats::binomial::Binomial;
 use mrcc_stats::gamma::{ln_choose, ln_factorial};

@@ -16,8 +16,8 @@
 //! That errs toward tracking *more* surface, never less, and this workspace's
 //! crates expose their modules publicly anyway.
 
+use super::Finding;
 use crate::ast::{TypeKind, Vis};
-use crate::lints::Finding;
 use std::path::Path;
 
 use super::CrateAst;

@@ -17,7 +17,7 @@
 //! constants. There is no `--bless` for this table: if the paper-derived code
 //! must change, change the table here in the same commit, visibly.
 
-use crate::lints::Finding;
+use super::Finding;
 
 use super::CrateAst;
 

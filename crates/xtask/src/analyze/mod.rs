@@ -25,9 +25,99 @@ pub mod constants;
 pub mod panics;
 
 use crate::ast::{self, ParsedFile};
-use crate::lints::Finding;
 use crate::source::SourceFile;
 use std::path::Path;
+
+/// One analysis finding.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Finding {
+    /// File path as reported.
+    pub path: String,
+    /// 1-based line number.
+    pub line: usize,
+    /// Analysis slug (`panic-path`, `paper-constant`, `api-drift`, `io`).
+    pub slug: &'static str,
+    /// Human-readable description.
+    pub message: String,
+}
+
+impl std::fmt::Display for Finding {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}:{}: [{}] {}",
+            self.path, self.line, self.slug, self.message
+        )
+    }
+}
+
+/// Renders findings as a JSON array of `{file, line, lint, message}` records
+/// (hand-rolled: xtask stays dependency-free, and the vendored `serde_json`
+/// shim is a workspace library, not available to this binary-only crate).
+pub fn to_json(findings: &[Finding]) -> String {
+    let records: Vec<String> = findings
+        .iter()
+        .map(|f| {
+            format!(
+                "{{\"file\":{},\"line\":{},\"lint\":{},\"message\":{}}}",
+                json_string(&f.path),
+                f.line,
+                json_string(f.slug),
+                json_string(&f.message)
+            )
+        })
+        .collect();
+    if records.is_empty() {
+        "[]".to_string()
+    } else {
+        format!("[\n  {}\n]", records.join(",\n  "))
+    }
+}
+
+/// Escapes and quotes a JSON string value.
+fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// Renders one finding as a GitHub Actions workflow annotation
+/// (`::error file=…,line=…::…`), which the Actions runner turns into an
+/// inline PR comment.
+pub fn github_annotation(f: &Finding) -> String {
+    // Property values escape `%`, `\r`, `\n`, `:` and `,`; the message
+    // escapes `%`, `\r`, `\n` (GitHub's documented command syntax).
+    let prop = |s: &str| {
+        s.replace('%', "%25")
+            .replace('\r', "%0D")
+            .replace('\n', "%0A")
+            .replace(':', "%3A")
+            .replace(',', "%2C")
+    };
+    let msg = f
+        .message
+        .replace('%', "%25")
+        .replace('\r', "%0D")
+        .replace('\n', "%0A");
+    format!(
+        "::error file={},line={},title={}::{msg}",
+        prop(&f.path),
+        f.line.max(1),
+        prop(f.slug)
+    )
+}
 
 /// One parsed source file of a crate.
 #[derive(Debug)]
@@ -170,4 +260,42 @@ pub fn run(repo: &Path, bless: bool) -> Vec<Finding> {
     findings.extend(constants::check(&crates));
     findings.extend(api::check_repo(repo, &crates, bless));
     findings
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn json_output_escapes_and_shapes_records() {
+        assert_eq!(to_json(&[]), "[]");
+        let findings = vec![Finding {
+            path: "crates/core/src/lib.rs".to_string(),
+            line: 7,
+            slug: "panic-path",
+            message: "uses `.unwrap()` with \"quotes\"\nand a newline".to_string(),
+        }];
+        let json = to_json(&findings);
+        assert!(
+            json.contains("\"file\":\"crates/core/src/lib.rs\""),
+            "{json}"
+        );
+        assert!(json.contains("\"line\":7"), "{json}");
+        assert!(json.contains("\\\"quotes\\\"\\nand"), "{json}");
+    }
+
+    #[test]
+    fn github_annotations_escape_command_syntax() {
+        let f = Finding {
+            path: "a,b.rs".to_string(),
+            line: 0,
+            slug: "api-drift",
+            message: "50% bad\nsecond line".to_string(),
+        };
+        let a = github_annotation(&f);
+        assert_eq!(
+            a,
+            "::error file=a%2Cb.rs,line=1,title=api-drift::50%25 bad%0Asecond line"
+        );
+    }
 }

@@ -27,8 +27,8 @@
 //! Test code (`#[cfg(test)]`) and the `strict-invariants` verification layer
 //! are outside the audit: both exist to panic.
 
+use super::Finding;
 use crate::ast::{Token, Vis};
-use crate::lints::Finding;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 

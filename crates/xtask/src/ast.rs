@@ -1,8 +1,7 @@
 //! A lightweight recursive-descent parser for Rust's *item* structure.
 //!
-//! The token-level lints in [`crate::lints`] see one line at a time; the
-//! semantic analyses in [`crate::analyze`] need to see across statements and
-//! files: which functions exist, what their visibility and signatures are,
+//! The semantic analyses in [`crate::analyze`] need to see across
+//! statements and files: which functions exist, what their visibility and signatures are,
 //! which impl block they belong to, and what their bodies call. This module
 //! provides exactly that — no more. It parses the *masked* code view built by
 //! [`crate::source`] (string/comment contents already blanked), so it never

@@ -1,11 +1,11 @@
-//! Source-file model for the lint driver.
+//! Source-file model for the semantic analyses.
 //!
-//! Lints never see raw file text directly. Each file is pre-processed into a
-//! [`SourceFile`]: a *masked* view where string/char-literal contents and
-//! comments are replaced by spaces (so token scans cannot false-positive on
-//! text inside literals), a parallel *comments* view holding only comment
-//! text (for `// SAFETY:` and `xtask-allow` detection), and a per-line flag
-//! marking `#[cfg(test)]` regions (most lints only police non-test code).
+//! The analyses never see raw file text directly. Each file is pre-processed
+//! into a [`SourceFile`]: a *masked* view where string/char-literal contents
+//! and comments are replaced by spaces (so token scans cannot false-positive
+//! on text inside literals), a parallel *comments* view holding only comment
+//! text (for `xtask-allow` detection), and a per-line flag marking
+//! `#[cfg(test)]` regions (the panic audit only polices non-test code).
 //!
 //! The masking pass is a hand-rolled scanner covering the token forms this
 //! repository actually uses: line/block comments (nested), string literals
