@@ -39,7 +39,8 @@ pub fn convolve_full(level: &Level, id: CellId, dims: usize) -> i64 {
     let mut acc = weight * center;
 
     // Enumerate all 3^d offsets in {−1, 0, +1}^d except the origin.
-    let mut key: Vec<u64> = cell.coords().to_vec();
+    let coords = cell.coords();
+    let mut key = coords.clone();
     let extent = level.grid_extent();
     let n_offsets = 3usize.pow(dims as u32);
     'offsets: for code in 0..n_offsets {
@@ -48,11 +49,11 @@ pub fn convolve_full(level: &Level, id: CellId, dims: usize) -> i64 {
         for j in 0..dims {
             let trit = (c % 3) as i64 - 1; // −1, 0, +1
             c /= 3;
-            let base = cell.coords()[j];
+            let base = coords[j];
             let coord = base as i64 + trit;
             if coord < 0 || coord as u64 >= extent {
                 // Off the grid: restore and skip this offset.
-                key[..dims].copy_from_slice(&cell.coords()[..dims]);
+                key[..dims].copy_from_slice(&coords[..dims]);
                 continue 'offsets;
             }
             key[j] = coord as u64;
@@ -65,7 +66,7 @@ pub fn convolve_full(level: &Level, id: CellId, dims: usize) -> i64 {
                 acc -= level.cell(nid).n() as i64;
             }
         }
-        key[..dims].copy_from_slice(&cell.coords()[..dims]);
+        key[..dims].copy_from_slice(&coords[..dims]);
     }
     acc
 }

@@ -95,7 +95,7 @@ impl RankedLevel {
         let side = level.side();
         let mut keyed: Vec<(Reverse<i64>, CellId)> = level
             .iter()
-            .filter(|(_, cell)| !cell.used() && !shares_space_with_any(cell, side, dims, betas))
+            .filter(|(_, cell)| !cell.used() && !shares_space_with_any(*cell, side, dims, betas))
             .map(|(id, _)| (Reverse(convolve(level, id, dims, mask)), id))
             .collect();
         keyed.sort_unstable();
@@ -178,7 +178,7 @@ fn scan_level_oracle(
 /// cell that merely touches a β-box face is outside it and stays eligible —
 /// grid-aligned bounds make touching ubiquitous, see
 /// [`BoundingBox::overlaps_strict`]).
-fn shares_space_with_any(cell: &Cell, side: f64, dims: usize, betas: &[BetaCluster]) -> bool {
+fn shares_space_with_any(cell: Cell<'_>, side: f64, dims: usize, betas: &[BetaCluster]) -> bool {
     betas.iter().any(|beta| {
         (0..dims).all(|j| {
             cell.upper_bound(j, side) > beta.bounds.lower(j)
@@ -299,7 +299,7 @@ fn confirm_beta_cluster(
         bounds,
         axes,
         level: h,
-        center_coords: cell.coords().to_vec(),
+        center_coords: cell.coords(),
         axis_stats: stats,
         relevance_threshold: cut,
     })

@@ -1,70 +1,51 @@
-//! A single Counting-tree cell.
+//! A view of one Counting-tree cell.
 //!
 //! The paper's cell structure is `<loc, n, P[d], usedCell, ptr>`. Here `loc`
 //! and `ptr` are subsumed by the absolute grid coordinates (see the crate
-//! docs); `n`, `P[d]` and `usedCell` are stored verbatim.
+//! docs); `n`, `P[d]` and `usedCell` are stored verbatim. A level keeps its
+//! cells as parallel arrays ([`crate::level`]), so a [`Cell`] is a `Copy`
+//! view into them rather than an owned record.
+
+use std::fmt;
 
 use mrcc_common::num::grid_to_f64;
+
+use crate::level::Level;
 
 /// Index of a cell within its level's arena.
 pub type CellId = u32;
 
-/// A `d`-dimensional hyper-cube cell of side `1/2^h` at tree level `h`.
-#[derive(Debug, Clone)]
-pub struct Cell {
-    /// Absolute grid coordinates, one per axis, each in `[0, 2^h)`.
-    coords: Box<[u64]>,
-    /// Number of points inside the cell (`a_h.n`).
-    n: u64,
+/// A `d`-dimensional hyper-cube cell of side `1/2^h` at tree level `h`,
+/// borrowed from its [`Level`] (see [`Level::cell`] and [`Level::iter`]).
+#[derive(Clone, Copy)]
+pub struct Cell<'a> {
+    /// The level the cell belongs to (for the key layout).
+    pub(crate) level: &'a Level,
+    /// The cell's packed grid coordinates.
+    pub(crate) key: &'a [u64],
     /// Half-space counts: `p[j]` = points in the **lower** half of the cell
     /// along axis `e_j` (`a_h.P[j]`).
-    p: Box<[u64]>,
-    /// The paper's `usedCell` flag — set once the β-cluster search consumed
-    /// this cell as a convolution winner.
-    used: bool,
+    pub(crate) p: &'a [u64],
+    /// Number of points inside the cell (`a_h.n`).
+    pub(crate) n: u64,
+    /// The paper's `usedCell` flag.
+    pub(crate) used: bool,
 }
 
-impl Cell {
-    /// Creates an empty cell at the given coordinates.
-    pub(crate) fn new(coords: Box<[u64]>) -> Self {
-        let d = coords.len();
-        Cell {
-            coords,
-            n: 0,
-            p: vec![0; d].into_boxed_slice(),
-            used: false,
-        }
-    }
-
-    /// Counts one point; `lower_half[j]` says whether the point lies in the
-    /// lower half of this cell along axis `e_j`.
-    pub(crate) fn count_point(&mut self, lower_half: impl Iterator<Item = bool>) {
-        self.n += 1;
-        for (slot, lower) in self.p.iter_mut().zip(lower_half) {
-            if lower {
-                *slot += 1;
-            }
-        }
-    }
-
-    /// Adds another cell's counts into this one (sharded-build merge): `n`
-    /// and every `P[j]` are additive because each point is counted exactly
-    /// once across partial trees; `usedCell` is OR-ed (partial trees from
-    /// `build_sharded` have never been searched, so it is always `false`
-    /// there, but the merge stays correct for arbitrary trees).
-    pub(crate) fn merge_from(&mut self, other: &Cell) {
-        debug_assert_eq!(self.coords, other.coords);
-        self.n += other.n;
-        for (slot, &add) in self.p.iter_mut().zip(other.p.iter()) {
-            *slot += add;
-        }
-        self.used |= other.used;
-    }
-
-    /// Absolute grid coordinates of the cell.
+impl<'a> Cell<'a> {
+    /// Absolute grid coordinate of axis `e_j`, in `[0, 2^h)`.
+    ///
+    /// # Panics
+    /// Panics when `j` is out of range.
     #[inline]
-    pub fn coords(&self) -> &[u64] {
-        &self.coords
+    pub fn coord(&self, j: usize) -> u64 {
+        self.level.key_field(self.key, j)
+    }
+
+    /// Absolute grid coordinates of the cell, one per axis. Allocates; hot
+    /// paths read single axes with [`Cell::coord`].
+    pub fn coords(&self) -> Vec<u64> {
+        (0..self.p.len()).map(|j| self.coord(j)).collect()
     }
 
     /// Point count `n`.
@@ -84,8 +65,8 @@ impl Cell {
 
     /// All half-space counts.
     #[inline]
-    pub fn half_counts(&self) -> &[u64] {
-        &self.p
+    pub fn half_counts(&self) -> &'a [u64] {
+        self.p
     }
 
     /// The paper's `usedCell` flag.
@@ -94,78 +75,104 @@ impl Cell {
         self.used
     }
 
-    pub(crate) fn set_used(&mut self, used: bool) {
-        self.used = used;
-    }
-
     /// Relative position bit (`loc`) of axis `e_j`: `true` when the cell sits
     /// in the **upper** half of its parent along `e_j`.
     #[inline]
     pub fn loc_bit(&self, j: usize) -> bool {
-        self.coords[j] & 1 == 1
+        self.coord(j) & 1 == 1
     }
 
     /// Coordinates of the immediate parent cell (one level up).
-    pub fn parent_coords(&self) -> Box<[u64]> {
-        self.coords.iter().map(|&c| c >> 1).collect()
+    pub fn parent_coords(&self) -> Vec<u64> {
+        (0..self.p.len()).map(|j| self.coord(j) >> 1).collect()
     }
 
     /// Lower bound of the cell on axis `e_j`, given the level's cell side.
     #[inline]
     pub fn lower_bound(&self, j: usize, side: f64) -> f64 {
-        grid_to_f64(self.coords[j]) * side
+        grid_to_f64(self.coord(j)) * side
     }
 
     /// Upper bound of the cell on axis `e_j`, given the level's cell side.
     #[inline]
     pub fn upper_bound(&self, j: usize, side: f64) -> f64 {
-        grid_to_f64(self.coords[j] + 1) * side
+        grid_to_f64(self.coord(j) + 1) * side
     }
+}
 
-    /// Approximate heap footprint in bytes (for the memory experiments).
-    pub fn memory_bytes(&self) -> usize {
-        size_of::<Cell>() + (self.coords.len() + self.p.len()) * 8
+impl fmt::Debug for Cell<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Cell")
+            .field("coords", &self.coords())
+            .field("n", &self.n)
+            .field("p", &self.p)
+            .field("used", &self.used)
+            .finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::level::tests::level_with;
 
     #[test]
     fn counting_updates_half_spaces() {
-        let mut c = Cell::new(vec![2, 3].into_boxed_slice());
-        c.count_point([true, false].into_iter());
-        c.count_point([true, true].into_iter());
-        c.count_point([false, true].into_iter());
+        // Level 2 counted from level-3 coordinates (`shift` 1): a point is in
+        // the lower half along e_j iff its finer coordinate is even.
+        let mut l = crate::level::Level::new(2, 2);
+        let mut key = Vec::new();
+        for fine in [[4, 6], [4, 7], [5, 7]] {
+            l.count_point(&fine, 1, &mut key);
+        }
+        assert_eq!(l.n_cells(), 1);
+        let c = l.cell(0);
+        assert_eq!(c.coords(), [2, 3]);
         assert_eq!(c.n(), 3);
         assert_eq!(c.half_count(0), 2);
-        assert_eq!(c.half_count(1), 2);
-        assert_eq!(c.half_counts(), &[2, 2]);
+        assert_eq!(c.half_count(1), 1);
+        assert_eq!(c.half_counts(), &[2, 1]);
+        assert!(!c.used());
     }
 
     #[test]
     fn loc_bits_and_parent() {
-        let c = Cell::new(vec![5, 2, 7].into_boxed_slice());
+        let l = level_with(3, &[&[5, 2, 7]]);
+        let c = l.cell(0);
         assert!(c.loc_bit(0)); // 5 is odd → upper half of parent
         assert!(!c.loc_bit(1)); // 2 is even → lower half
         assert!(c.loc_bit(2));
-        assert_eq!(&*c.parent_coords(), &[2, 1, 3]);
+        assert_eq!(c.coords(), [5, 2, 7]);
+        assert_eq!(c.parent_coords(), [2, 1, 3]);
     }
 
     #[test]
     fn bounds_scale_with_side() {
-        let c = Cell::new(vec![3].into_boxed_slice());
-        let side = 0.25; // level 2
+        let l = level_with(2, &[&[3]]);
+        let c = l.cell(0);
+        let side = l.side(); // level 2
         assert!((c.lower_bound(0, side) - 0.75).abs() < 1e-12);
         assert!((c.upper_bound(0, side) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn used_flag_round_trips() {
-        let mut c = Cell::new(vec![0].into_boxed_slice());
-        assert!(!c.used());
-        c.set_used(true);
-        assert!(c.used());
+        let mut l = level_with(2, &[&[0]]);
+        assert!(!l.cell(0).used());
+        l.set_used(0, true);
+        assert!(l.cell(0).used());
+    }
+
+    #[test]
+    #[should_panic]
+    fn coord_out_of_range_panics() {
+        let l = level_with(2, &[&[1, 2]]);
+        let _ = l.cell(0).coord(2);
+    }
+
+    #[test]
+    fn debug_prints_coordinates() {
+        let l = level_with(2, &[&[1, 2]]);
+        let s = format!("{:?}", l.cell(0));
+        assert!(s.contains("coords: [1, 2]"), "{s}");
     }
 }

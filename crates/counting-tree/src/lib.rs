@@ -23,17 +23,21 @@
 //! node, and resolves a cell's *external* face neighbors by walking the tree
 //! from the root. It then notes that, "intending to make it easier to
 //! understand", nodes can equivalently be treated as arrays of cells. We take
-//! the flat view: one cell arena per level plus a hash index keyed by the
-//! cell's **absolute grid coordinates** (one integer per axis, coordinate ∈
-//! `[0, 2^h)`). All the tree navigation of the paper becomes integer
-//! arithmetic —
+//! the flat view: each level is a structure of arrays in first-touch order,
+//! keyed by the cell's **absolute grid coordinates** (one integer per axis,
+//! coordinate ∈ `[0, 2^h)`) bit-packed `h` bits per axis into `u64` words,
+//! plus an open-addressing index that stores only cell ids, so the
+//! coordinates are held once ([`level`]). All the tree navigation of the
+//! paper becomes integer arithmetic —
 //!
 //! * relative position `loc` bit of axis `j` = low bit of `coords[j]`,
 //! * immediate parent = `coords >> 1` looked up one level up,
 //! * the *internal* face neighbor of the paper (same parent) and the
-//!   *external* one (different parent) are both `coords[j] ± 1`.
+//!   *external* one (different parent) are both `coords[j] ± 1`, one field
+//!   of one packed word patched in place.
 //!
-//! The per-cell payload (`n`, `P[d]`, `usedCell`) is exactly the paper's.
+//! The per-cell payload (`n`, `P[d]`, `usedCell`) is exactly the paper's;
+//! [`Cell`] is a borrowed view of it.
 //!
 //! ## Parallel construction
 //!
@@ -44,7 +48,7 @@
 //! [`CountingTree::build`], arena order included.
 
 pub mod cell;
-pub mod hasher;
+mod hasher;
 pub mod level;
 pub mod merge;
 pub mod query;

@@ -19,7 +19,8 @@
 //!    shard order;
 //! 2. each partial level stores its cells in first-touch order of its own
 //!    shard, and [`Level::absorb`] walks the donor's arena **in order**,
-//!    appending cells not yet present;
+//!    looking each packed key up as is (levels with the same `h` and `d`
+//!    share one key layout) and appending the cells not yet present;
 //! 3. partial trees are merged in **ascending shard order**.
 //!
 //! A cell's position in the serial arena is the rank of the first point that
@@ -36,19 +37,26 @@ use crate::level::Level;
 use crate::tree::CountingTree;
 
 impl Level {
-    /// Adds every cell of `other` (same level number) into this level:
+    /// Adds every cell of `other` (same level number and dimensionality)
+    /// into this level: each donor cell's packed key is looked up as is,
     /// existing cells accumulate `n`/`P[j]` (and OR their `usedCell` flag),
-    /// missing cells are appended in the donor's arena order.
+    /// and missing cells are appended in the donor's arena order.
     ///
     /// Merging the shard levels of [`CountingTree::build_sharded`] in shard
     /// order reproduces the serial arena order exactly (see the module
     /// docs); absorbing in any other order yields the same cell *contents*
     /// but may permute the arena.
+    ///
+    /// # Panics
+    /// Panics when the levels differ in `h` or in dimensionality.
     pub fn absorb(&mut self, other: &Level) {
-        debug_assert_eq!(self.h(), other.h(), "absorb requires matching levels");
+        assert!(
+            self.same_layout(other),
+            "absorb requires levels with the same h and dimensionality"
+        );
         for (_, cell) in other.iter() {
-            let id = self.get_or_insert(cell.coords());
-            self.cell_mut(id).merge_from(cell);
+            let id = self.get_or_insert(cell.key);
+            self.add_counts(id, cell.n(), cell.half_counts(), cell.used());
         }
     }
 }
@@ -129,6 +137,7 @@ impl CountingTree {
         for partial in partials {
             merged.merge_from(&partial?)?;
         }
+        merged.shrink_to_fit();
         Ok(merged)
     }
 
@@ -147,7 +156,7 @@ impl CountingTree {
         self.levels.iter().zip(&other.levels).all(|(a, b)| {
             a.n_cells() == b.n_cells()
                 && a.iter().all(|(_, cell)| {
-                    b.find(cell.coords()).is_some_and(|id| {
+                    b.lookup(cell.key).is_some_and(|id| {
                         let bc = b.cell(id);
                         bc.n() == cell.n()
                             && bc.half_counts() == cell.half_counts()
@@ -169,7 +178,7 @@ impl CountingTree {
             && self.levels.iter().zip(&other.levels).all(|(a, b)| {
                 a.iter()
                     .zip(b.iter())
-                    .all(|((_, ca), (_, cb))| ca.coords() == cb.coords())
+                    .all(|((_, ca), (_, cb))| ca.key == cb.key)
             })
     }
 }

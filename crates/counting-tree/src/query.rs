@@ -47,11 +47,11 @@ impl CountingTree {
 
         let mut total = 0u64;
         for (_, cell) in level.iter() {
-            let inside = cell
-                .coords()
+            let inside = lo
                 .iter()
-                .zip(lo.iter().zip(&hi))
-                .all(|(&c, (&l, &u))| c >= l && c < u);
+                .zip(&hi)
+                .enumerate()
+                .all(|(j, (&l, &u))| (l..u).contains(&cell.coord(j)));
             if inside {
                 total += cell.n();
             }

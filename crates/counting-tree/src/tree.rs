@@ -3,7 +3,6 @@
 use mrcc_common::num::{bounded_to_u32, powi_exp, trunc_to_u64};
 use mrcc_common::{Dataset, Error, Result};
 
-use crate::cell::CellId;
 use crate::level::Level;
 
 /// Minimum number of resolutions the paper allows (`H ≥ 3`).
@@ -72,6 +71,7 @@ impl CountingTree {
         for p in ds.iter() {
             tree.insert(p)?;
         }
+        tree.shrink_to_fit();
         Ok(tree)
     }
 
@@ -101,7 +101,9 @@ impl CountingTree {
             dims,
             n_points: 0,
             resolutions,
-            levels: (1..=h_max).map(|h| Level::new(bounded_to_u32(h))).collect(),
+            levels: (1..=h_max)
+                .map(|h| Level::new(bounded_to_u32(h), dims))
+                .collect(),
         })
     }
 
@@ -136,19 +138,12 @@ impl CountingTree {
             }
             *slot = trunc_to_u64(v * fine_scale);
         }
-        let mut coords = vec![0u64; d];
+        // Level h's coordinates are the fine ones shifted right by
+        // h_max + 1 − h; `key` is the packed-key scratch all levels share.
+        let mut key = Vec::new();
         for (li, level) in self.levels.iter_mut().enumerate() {
-            let h = li + 1;
-            let shift = bounded_to_u32(h_max + 1 - h);
-            for (c, f) in coords.iter_mut().zip(&fine) {
-                *c = f >> shift;
-            }
-            let id = level.get_or_insert(&coords);
-            // The point is in the lower half of this cell along e_j iff its
-            // coordinate one level finer is even.
-            level
-                .cell_mut(id)
-                .count_point(fine.iter().map(|f| (f >> (shift - 1)) & 1 == 0));
+            let shift = bounded_to_u32(h_max - li);
+            level.count_point(&fine, shift, &mut key);
         }
         self.n_points += 1;
         Ok(())
@@ -204,14 +199,20 @@ impl CountingTree {
     /// Clears every `usedCell` flag (re-run the search on the same tree).
     pub fn reset_used(&mut self) {
         for level in &mut self.levels {
-            let ids: Vec<CellId> = level.iter().map(|(id, _)| id).collect();
-            for id in ids {
-                level.set_used(id, false);
-            }
+            level.reset_used();
         }
     }
 
-    /// Approximate heap footprint in bytes, for the memory experiments.
+    /// Releases every level's growth slack once a build is complete
+    /// (streaming inserts keep it, to amortize their growth).
+    pub(crate) fn shrink_to_fit(&mut self) {
+        for level in &mut self.levels {
+            level.shrink_to_fit();
+        }
+    }
+
+    /// Heap footprint in bytes (the sum of [`Level::memory_bytes`]), for the
+    /// memory experiments.
     pub fn memory_bytes(&self) -> usize {
         self.levels.iter().map(Level::memory_bytes).sum::<usize>() + size_of::<CountingTree>()
     }
@@ -221,6 +222,8 @@ impl CountingTree {
     ///
     /// * **count conservation** — every materialized level's cell counts sum
     ///   to `η`, the number of inserted points;
+    /// * **level layout** — a level's packed keys, counts and flags agree on
+    ///   the cell count, and its index finds every cell under its own key;
     /// * **half-space bounds** — per cell, each axis half-count `P[j]` never
     ///   exceeds the cell count `n`, and coordinates stay inside the level's
     ///   `2^h` grid;
@@ -243,14 +246,9 @@ impl CountingTree {
                 "invariant violated: level {} does not conserve the point count",
                 level.h()
             );
+            level.check_layout();
             let extent = level.grid_extent();
             for (_, cell) in level.iter() {
-                assert_eq!(
-                    cell.coords().len(),
-                    self.dims,
-                    "invariant violated: level {} cell with wrong coordinate width",
-                    level.h()
-                );
                 assert!(
                     cell.coords().iter().all(|&c| c < extent),
                     "invariant violated: level {} cell {:?} outside the 2^h grid",
@@ -271,7 +269,7 @@ impl CountingTree {
         for pair in self.levels.windows(2) {
             let (parent, child) = (&pair[0], &pair[1]);
             for (_, cc) in child.iter() {
-                for (slot, &c) in parent_coords.iter_mut().zip(cc.coords()) {
+                for (slot, c) in parent_coords.iter_mut().zip(cc.coords()) {
                     *slot = c >> 1;
                 }
                 let pid = parent.find(&parent_coords).expect(
@@ -367,8 +365,8 @@ mod tests {
                     let expect: u64 = child
                         .iter()
                         .filter(|(_, cc)| {
-                            (0..tree.dims()).all(|k| cc.coords()[k] >> 1 == cell.coords()[k])
-                                && cc.coords()[j] & 1 == 0
+                            (0..tree.dims()).all(|k| cc.coord(k) >> 1 == cell.coord(k))
+                                && cc.coord(j) & 1 == 0
                         })
                         .map(|(_, cc)| cc.n())
                         .sum();
@@ -393,9 +391,7 @@ mod tests {
             for (_, cell) in level.iter() {
                 let sum: u64 = child
                     .iter()
-                    .filter(|(_, cc)| {
-                        (0..tree.dims()).all(|k| cc.coords()[k] >> 1 == cell.coords()[k])
-                    })
+                    .filter(|(_, cc)| (0..tree.dims()).all(|k| cc.coord(k) >> 1 == cell.coord(k)))
                     .map(|(_, cc)| cc.n())
                     .sum();
                 assert_eq!(cell.n(), sum);
@@ -420,8 +416,8 @@ mod tests {
         let l3 = tree.level(3);
         assert_eq!(l3.n_cells(), 1);
         let (_, cell) = l3.iter().next().unwrap();
-        assert_eq!(cell.coords()[0], 7); // 2^3 − 1
-        assert_eq!(cell.coords()[1], 0);
+        assert_eq!(cell.coord(0), 7); // 2^3 − 1
+        assert_eq!(cell.coord(1), 0);
     }
 
     #[test]
@@ -458,7 +454,7 @@ mod incremental_tests {
             let (bl, il) = (batch.level(h), inc.level(h));
             assert_eq!(bl.n_cells(), il.n_cells(), "level {h}");
             for (_, cell) in bl.iter() {
-                let id = il.find(cell.coords()).expect("cell present");
+                let id = il.find(&cell.coords()).expect("cell present");
                 let other = il.cell(id);
                 assert_eq!(cell.n(), other.n());
                 assert_eq!(cell.half_counts(), other.half_counts());
