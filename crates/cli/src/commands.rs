@@ -113,6 +113,7 @@ fn generate_cmd(
 ) -> CliResult<()> {
     let mut spec = SyntheticSpec::new("cli", dims, points, clusters, noise, seed);
     spec.rotations = rotations;
+    spec.validate().map_err(|e| format!("generate: {e}"))?;
     let synth = generate(&spec);
     let labels = synth.ground_truth.labels();
     match output {
@@ -486,6 +487,60 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.contains("mismatch"));
+    }
+
+    /// The error of `mrcc generate` on a degenerate shape.
+    fn generate_err(dims: &str, points: &str, clusters: &str, noise: &str) -> String {
+        let args = [
+            "generate",
+            "--dims",
+            dims,
+            "--points",
+            points,
+            "--clusters",
+            clusters,
+            "--noise",
+            noise,
+        ];
+        run_str(&args).unwrap_err()
+    }
+
+    #[test]
+    fn generate_rejects_too_few_or_too_many_dims() {
+        let err = generate_err("0", "10", "1", "0.15");
+        assert!(
+            err.contains("`dims`") && err.contains("at least 2"),
+            "{err}"
+        );
+        let err = generate_err("65", "10", "1", "0.15");
+        assert!(err.contains("dimensionality 65 unsupported"), "{err}");
+    }
+
+    #[test]
+    fn generate_rejects_zero_points() {
+        let err = generate_err("4", "0", "1", "0.15");
+        assert!(err.contains("`n_points`"), "{err}");
+    }
+
+    #[test]
+    fn generate_rejects_noise_outside_unit_interval() {
+        let err = generate_err("4", "10", "1", "2");
+        assert!(err.contains("`noise_fraction`"), "{err}");
+    }
+
+    #[test]
+    fn generate_rejects_more_clusters_than_clustered_points() {
+        // 10 points at 50 % noise leave 5 clustered points for 6 clusters.
+        let err = generate_err("4", "10", "6", "0.5");
+        assert!(err.contains("`n_clusters`"), "{err}");
+    }
+
+    #[test]
+    fn cluster_normalizes_values_whose_range_overflows() {
+        let path = tmp("overflow.csv");
+        std::fs::write(&path, "1e308,0.5\n-1e308,0.25\n0,0.75\n").unwrap();
+        let out = run_str(&["cluster", "--input", path.to_str().unwrap()]).unwrap();
+        assert!(out.contains("MrCC"), "{out}");
     }
 
     #[test]

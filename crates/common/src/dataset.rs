@@ -41,7 +41,8 @@ pub struct NormalizeInfo {
     /// Per-axis minimum of the original data.
     pub min: Vec<f64>,
     /// Per-axis scale: original range stretched so the maximum maps *just
-    /// below* 1.0 (the paper's half-open cube `[0,1)`).
+    /// below* 1.0 (the paper's half-open cube `[0,1)`); `+∞` on an axis
+    /// whose range overflows `f64`, which `denormalize` cannot map back.
     pub scale: Vec<f64>,
 }
 
@@ -211,6 +212,11 @@ impl Dataset {
     /// Min–max normalizes every axis into `[0, 1)` in place, returning the
     /// applied transform. Constant axes map to `0.0`.
     ///
+    /// An axis whose stretched range overflows `f64` (`max − min` near or
+    /// above `f64::MAX`) is normalized in quarters, `(v/4 − min/4) /
+    /// (range/4)`, which keeps every value finite and in order; its recorded
+    /// `scale` is then `+∞`.
+    ///
     /// # Errors
     /// [`Error::EmptyDataset`] when there are no points.
     pub fn normalize_unit(&mut self) -> Result<NormalizeInfo> {
@@ -228,9 +234,19 @@ impl Dataset {
             })
             .collect();
         let dims = self.dims;
+        let (mut shift, mut divisor) = (min.clone(), scale.clone());
+        for j in (0..dims).filter(|&j| scale[j].is_infinite()) {
+            // `(v − min) / scale` would be ∞/∞ = NaN here. Normalize the
+            // axis in quarters, then let the pass below leave it as it is.
+            let quarter_scale = (max[j] * 0.25 - min[j] * 0.25) / UNIT_SHRINK;
+            for p in self.data.chunks_exact_mut(dims) {
+                p[j] = (p[j] * 0.25 - min[j] * 0.25) / quarter_scale;
+            }
+            (shift[j], divisor[j]) = (0.0, 1.0);
+        }
         for p in self.data.chunks_exact_mut(dims) {
             for j in 0..dims {
-                p[j] = (p[j] - min[j]) / scale[j];
+                p[j] = (p[j] - shift[j]) / divisor[j];
                 // Guard against floating rounding pushing a maximum to 1.0.
                 if p[j] >= 1.0 {
                     p[j] = UNIT_SHRINK;
@@ -325,6 +341,25 @@ mod tests {
         ds.normalize_unit().unwrap();
         assert_eq!(ds.point(0)[0], 0.0);
         assert_eq!(ds.point(1)[0], 0.0);
+    }
+
+    #[test]
+    fn normalize_keeps_overflowing_ranges_finite_and_ordered() {
+        let column = [-f64::MAX, -1e308, 0.0, 1e308, f64::MAX];
+        let rows: Vec<[f64; 2]> = column.iter().map(|&v| [v, 0.5]).collect();
+        let mut ds = Dataset::from_rows(&rows).unwrap();
+        let info = ds.normalize_unit().unwrap();
+        assert!(ds.is_unit_normalized());
+        let normalized: Vec<f64> = ds.iter().map(|p| p[0]).collect();
+        assert!(normalized.windows(2).all(|w| w[0] < w[1]), "{normalized:?}");
+        assert_eq!(normalized[0], 0.0);
+        assert_eq!(info.scale[0], f64::INFINITY);
+
+        let mut ds = Dataset::from_rows(&[[1e308], [-1e308], [0.0]]).unwrap();
+        ds.normalize_unit().unwrap();
+        let normalized: Vec<f64> = ds.iter().map(|p| p[0]).collect();
+        assert!(ds.is_unit_normalized());
+        assert!(normalized[1] < normalized[2] && normalized[2] < normalized[0]);
     }
 
     #[test]

@@ -3,6 +3,31 @@
 use mrcc_common::{csv, AxisMask, BoundingBox, Dataset};
 use proptest::prelude::*;
 
+/// CSV-ish text from an alphabet of digits, `,.-+eE#`, `nan`, `inf`,
+/// spaces and newlines, plus a few whole fields (`0.5`, `±1e308`). Tokens
+/// are grouped into 1–2-token fields and rows of one width, and digits are
+/// drawn most often, so that well-formed files and overflowing axis ranges
+/// both turn up besides broken ones.
+fn csv_text_strategy() -> impl Strategy<Value = String> {
+    const TOKENS: [&str; 34] = [
+        "0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "0", "1", "2", "3", "4", "5", "6", "7",
+        "8", "9", "0.5", "1e308", "-1e308", ",", ".", "-", "+", "e", "E", "#", "nan", "inf", " ",
+        "\n",
+    ];
+    let field = || {
+        proptest::collection::vec(0..TOKENS.len(), 1..=2)
+            .prop_map(|picks| picks.into_iter().map(|i| TOKENS[i]).collect::<String>())
+    };
+    (1usize..=3).prop_flat_map(move |width| {
+        proptest::collection::vec(proptest::collection::vec(field(), width..=width), 0..=6)
+            .prop_map(|rows| {
+                rows.iter()
+                    .map(|row| row.join(",") + "\n")
+                    .collect::<String>()
+            })
+    })
+}
+
 fn rows_strategy() -> impl Strategy<Value = Vec<Vec<f64>>> {
     (1usize..=6).prop_flat_map(|d| {
         proptest::collection::vec(proptest::collection::vec(-1e6f64..1e6, d..=d), 1..60)
@@ -126,5 +151,24 @@ proptest! {
         }
         // Round trip through bools.
         prop_assert_eq!(AxisMask::from_bools(&a.to_bools()), a);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Arbitrary text never panics either reader: it is an error, or a
+    /// dataset of finite values that normalizes into the unit cube.
+    #[test]
+    fn csv_readers_never_panic(text in csv_text_strategy()) {
+        if let Ok(mut ds) = csv::read_dataset(text.as_bytes()) {
+            prop_assert!(ds.as_flat().iter().all(|v| v.is_finite()));
+            ds.normalize_unit().unwrap();
+            prop_assert!(ds.is_unit_normalized(), "{text:?}");
+        }
+        if let Ok((ds, labels)) = csv::read_labeled_dataset(text.as_bytes()) {
+            prop_assert!(ds.as_flat().iter().all(|v| v.is_finite()));
+            prop_assert_eq!(labels.len(), ds.len());
+        }
     }
 }

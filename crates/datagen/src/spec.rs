@@ -1,5 +1,8 @@
 //! Declarative description of a synthetic dataset.
 
+use mrcc_common::dataset::MAX_DIMS;
+use mrcc_common::{Error, Result};
+
 /// Specification of one synthetic dataset, mirroring the knobs the paper
 /// varies: dimensionality, number of points, number of correlation clusters,
 /// noise percentile and (for the `*_r` group) rotations.
@@ -68,6 +71,49 @@ impl SyntheticSpec {
     pub fn n_clustered(&self) -> usize {
         self.n_points - self.n_noise()
     }
+
+    /// Checks that [`generate`](crate::generate) can honour the spec: 2 to
+    /// [`MAX_DIMS`] dimensions, at least one point, a noise fraction in
+    /// `[0, 1)` and no more clusters than clustered points.
+    ///
+    /// # Errors
+    /// [`Error::UnsupportedDimensionality`] for too many dimensions, else
+    /// [`Error::InvalidParameter`] naming the first field out of range.
+    pub fn validate(&self) -> Result<()> {
+        if self.dims > MAX_DIMS {
+            return Err(Error::UnsupportedDimensionality {
+                dims: self.dims,
+                max: MAX_DIMS,
+            });
+        }
+        let invalid = |name, message: String| Err(Error::InvalidParameter { name, message });
+        if self.dims < 2 {
+            return invalid(
+                "dims",
+                format!("need at least 2 dimensions, got {}", self.dims),
+            );
+        }
+        if self.n_points == 0 {
+            return invalid("n_points", "need at least one point".into());
+        }
+        if !(0.0..1.0).contains(&self.noise_fraction) {
+            return invalid(
+                "noise_fraction",
+                format!("must be in [0,1), got {}", self.noise_fraction),
+            );
+        }
+        if self.n_clustered() < self.n_clusters {
+            return invalid(
+                "n_clusters",
+                format!(
+                    "{} clusters but only {} clustered points",
+                    self.n_clusters,
+                    self.n_clustered()
+                ),
+            );
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -80,6 +126,25 @@ mod tests {
         assert_eq!(s.n_noise(), 150);
         assert_eq!(s.n_clustered(), 850);
         assert_eq!(s.n_noise() + s.n_clustered(), s.n_points);
+    }
+
+    #[test]
+    fn validate_bounds_noise_and_accepts_zero_clusters() {
+        let ok = SyntheticSpec::new("t", 2, 10, 0, 0.0, 7);
+        assert!(ok.validate().is_ok());
+        for noise in [-0.1, 1.0, f64::NAN] {
+            let spec = SyntheticSpec {
+                noise_fraction: noise,
+                ..ok.clone()
+            };
+            assert!(matches!(
+                spec.validate(),
+                Err(Error::InvalidParameter {
+                    name: "noise_fraction",
+                    ..
+                })
+            ));
+        }
     }
 
     #[test]
